@@ -1,13 +1,12 @@
-// Command designdb inspects, verifies, and converts the repository's
-// binary file formats: design databases ("H3DB", written by
-// hetero3d/ppac -save-design) and evaluation journals ("H3CK", the
-// binary sibling of the JSONL checkpoint).
+// Command designdb inspects and verifies the repository's binary file
+// formats: design databases ("H3DB", written by hetero3d/ppac
+// -save-design) and evaluation journals ("H3CK", written by ppac
+// -checkpoint and evalfarm).
 //
 // Usage:
 //
 //	designdb inspect file.db...
 //	designdb verify file.db...
-//	designdb convert src dst
 //
 // inspect prints each file's kind, format version, section framing
 // (tag, offset, payload size, CRC), and — for design databases — the
@@ -18,17 +17,11 @@
 // in the tree maintains and CI enforces over the committed golden
 // fixtures. Evaluation journals are verified by a full parse (header
 // first, every frame CRC-checked).
-//
-// convert translates an evaluation checkpoint between the JSONL and
-// binary framings; the destination format follows dst's extension
-// (.db/.bin = binary). Converted journals resume exactly where the
-// original did.
 package main
 
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/db"
@@ -46,8 +39,6 @@ func main() {
 		err = inspect(args)
 	case "verify":
 		err = verify(args)
-	case "convert":
-		err = convert(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -66,7 +57,6 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   designdb inspect file.db...   list sections of design databases / evaluation journals
   designdb verify file.db...    decode + re-encode, require byte-identical canonical form
-  designdb convert src dst      translate an evaluation checkpoint (JSONL <-> binary)
 `)
 }
 
@@ -142,24 +132,5 @@ func verify(paths []string) error {
 	if bad > 0 {
 		return fmt.Errorf("%d of %d file(s) failed verification", bad, len(paths))
 	}
-	return nil
-}
-
-func convert(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("convert: want src and dst, got %d argument(s)", len(args))
-	}
-	src, dst := args[0], args[1]
-	if err := eval.ConvertCheckpoint(src, dst); err != nil {
-		return err
-	}
-	from, to := "JSONL", "binary"
-	if strings.HasSuffix(src, ".db") || strings.HasSuffix(src, ".bin") {
-		from = "binary"
-	}
-	if !strings.HasSuffix(dst, ".db") && !strings.HasSuffix(dst, ".bin") {
-		to = "JSONL"
-	}
-	fmt.Printf("converted %s (%s) -> %s (%s)\n", src, from, dst, to)
 	return nil
 }

@@ -34,15 +34,12 @@ func binaryFlowResult() *core.Result {
 }
 
 func TestBinaryCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.db")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	opt := ckptOpts()
 
 	ck, err := OpenCheckpoint(path, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ck.bin {
-		t.Fatal(".db checkpoint must choose the binary framing")
 	}
 	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
 		t.Fatal(err)
@@ -66,9 +63,6 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ck2.Close()
-	if !ck2.bin {
-		t.Error("reopen must sniff the binary framing")
-	}
 	fmax, cells, ok := ck2.Fmax(designs.CPU)
 	if !ok || fmax != 0.4375 || cells != 1234 {
 		t.Errorf("fmax record = %v/%d/%v", fmax, cells, ok)
@@ -100,7 +94,7 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestBinaryCheckpointRefusesOptionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.db")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +108,7 @@ func TestBinaryCheckpointRefusesOptionMismatch(t *testing.T) {
 }
 
 func TestBinaryCheckpointToleratesTruncatedFinalFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.db")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +145,7 @@ func TestBinaryCheckpointToleratesTruncatedFinalFrame(t *testing.T) {
 }
 
 func TestBinaryCheckpointRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.db")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -171,94 +165,5 @@ func TestBinaryCheckpointRejectsMidFileCorruption(t *testing.T) {
 	}
 	if _, err := OpenCheckpoint(path, ckptOpts()); err == nil {
 		t.Error("CRC-corrupt frame must be rejected")
-	}
-}
-
-// TestConvertCheckpoint proves lossless translation in both directions:
-// JSONL → binary → JSONL reproduces the original file byte for byte,
-// and both forms serve identical completions.
-func TestConvertCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "ckpt.jsonl")
-	opt := ckptOpts()
-	ck, err := OpenCheckpoint(jsonl, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-
-	bin := filepath.Join(dir, "ckpt.db")
-	if err := ConvertCheckpoint(jsonl, bin); err != nil {
-		t.Fatal(err)
-	}
-	back := filepath.Join(dir, "back.jsonl")
-	if err := ConvertCheckpoint(bin, back); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Errorf("JSONL→binary→JSONL not lossless:\n--- original ---\n%s--- converted ---\n%s", a, b)
-	}
-
-	ck2, err := OpenCheckpoint(bin, opt)
-	if err != nil {
-		t.Fatalf("converted journal must resume: %v", err)
-	}
-	defer ck2.Close()
-	if _, _, ok := ck2.Fmax(designs.CPU); !ok {
-		t.Error("fmax record lost in conversion")
-	}
-	r, ok := ck2.Flow(designs.CPU, core.ConfigHetero)
-	if !ok || r.Dive == nil || len(r.Checks) != 1 {
-		t.Errorf("flow record lost in conversion: %+v", r)
-	}
-}
-
-// TestCheckpointPreBinaryCompat pins backward compatibility: a JSONL
-// journal written before the binary format existed (committed fixture)
-// still opens and serves its records.
-func TestCheckpointPreBinaryCompat(t *testing.T) {
-	src, err := os.ReadFile("testdata/ckpt_pre_binary.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if err := os.WriteFile(path, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := OpenCheckpoint(path, ckptOpts())
-	if err != nil {
-		t.Fatalf("pre-binary journal must still open: %v", err)
-	}
-	defer ck.Close()
-	if ck.bin {
-		t.Error("JSONL journal misdetected as binary")
-	}
-	fmax, cells, ok := ck.Fmax(designs.CPU)
-	if !ok || fmax != 0.4375 || cells != 4321 {
-		t.Errorf("fmax = %v/%d/%v", fmax, cells, ok)
-	}
-	r, ok := ck.Flow(designs.CPU, core.ConfigHetero)
-	if !ok {
-		t.Fatal("flow record missing")
-	}
-	if r.PPAC.MIVs != 210 || r.PPAC.Refinement != "hetero flow, cut=140, preassigned=12" {
-		t.Errorf("PPAC fields lost: %+v", r.PPAC)
-	}
-	if len(r.Stages) != 1 || r.Stages[0].Stats[flow.StatCongestionRetries] != 1 {
-		t.Errorf("stages lost: %+v", r.Stages)
 	}
 }

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/designs"
 	"repro/internal/flow"
 )
@@ -20,7 +23,7 @@ func ckptOpts() SuiteOptions {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	opt := ckptOpts()
 
 	ck, err := OpenCheckpoint(path, opt)
@@ -77,7 +80,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointRefusesOptionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +99,13 @@ func TestCheckpointRefusesOptionMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointToleratesTruncatedFinalLine: a kill mid-append leaves the
+// leading half of a record frame after the last complete one. Open keeps
+// the records before it, does not serve the half-written one, and drops
+// the fragment from the file.
 func TestCheckpointToleratesTruncatedFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.ckpt")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -106,48 +114,182 @@ func TestCheckpointToleratesTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.Close()
-
-	// A kill mid-append leaves a half-written final record.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"kind":"flow","design":"cpu","conf`); err != nil {
+
+	// The same journal with the flow record fully written supplies the
+	// frame bytes the kill cut short.
+	full := filepath.Join(dir, "full.ckpt")
+	if err := os.WriteFile(full, intact, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	ckF, err := OpenCheckpoint(full, ckptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckF.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+		t.Fatal(err)
+	}
+	ckF.Close()
+	fullData, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := fullData[len(intact):]
+	if err := os.WriteFile(path, append(append([]byte{}, intact...), frame[:len(frame)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	ck2, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
-		t.Fatalf("truncated final line must be tolerated: %v", err)
+		t.Fatalf("truncated final record must be tolerated: %v", err)
 	}
-	defer ck2.Close()
 	if _, _, ok := ck2.Fmax(designs.AES); !ok {
 		t.Error("intact records before the truncation lost")
 	}
 	if _, ok := ck2.Flow(designs.CPU, core.ConfigHetero); ok {
 		t.Error("the half-written record must not be served")
 	}
+	ck2.Close()
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, intact) {
+		t.Errorf("journal is %d bytes after open, want the %d intact bytes", len(after), len(intact))
+	}
 }
 
-func TestCheckpointRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+// TestCheckpointResumeAfterTornTail is the kill-mid-append sequence a
+// resumed worker goes through: a torn final frame is tolerated on open,
+// and the records appended after it must still load on the next open.
+// Appending after the partial bytes would make the next open read one
+// "complete" frame spanning the fragment and the new record, fail its
+// CRC, and refuse the whole journal.
+func TestCheckpointResumeAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	ck, err := OpenCheckpoint(path, ckptOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Close()
-	data, _ := os.ReadFile(path)
-	data = append(data, []byte("not json at all\n")...)
-	ck2, _ := OpenCheckpoint(path, ckptOpts())
-	if ck2 != nil {
-		ck2.Close()
-	}
-	if err := os.WriteFile(path, append(data, []byte(`{"kind":"fmax","design":"aes","cells":1,"fmaxGHz":0.5}`+"\n")...), 0o644); err != nil {
+	if err := ck.PutFmax(designs.AES, 99, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCheckpoint(path, ckptOpts()); err == nil {
-		t.Error("malformed record followed by more records must be rejected")
+	if err := ck.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := len(data) - 7
+	if err := os.WriteFile(path, data[:torn], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatalf("torn final frame must be tolerated: %v", err)
+	}
+	if err := ck2.PutFlow(designs.CPU, core.ConfigHetero, binaryFlowResult()); err != nil {
+		t.Fatal(err)
+	}
+	ck2.Close()
+
+	// The fragment is gone: the file is the original plus nothing more
+	// than the re-appended flow frame, byte for byte.
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Errorf("journal after torn-tail resume is %d bytes, want the %d-byte original", len(after), len(data))
+	}
+
+	ck3, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatalf("journal refused after appending past a torn tail: %v", err)
+	}
+	defer ck3.Close()
+	if _, _, ok := ck3.Fmax(designs.AES); !ok {
+		t.Error("record before the torn tail lost")
+	}
+	if _, ok := ck3.Flow(designs.CPU, core.ConfigHetero); !ok {
+		t.Error("record appended after the torn tail lost")
+	}
+}
+
+// TestCheckpointRejectsMidFileCorruption: a CRC-bad frame followed by
+// intact frames is corruption, not a torn tail. The journal is refused
+// and left byte-for-byte as it was for the post-mortem.
+func TestCheckpointRejectsMidFileCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
+	ck, err := OpenCheckpoint(path, ckptOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.PutFmax(designs.AES, 99, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip a payload bit of the aes frame, which ends at fi.Size().
+	data[fi.Size()-6] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCheckpoint(path, ckptOpts()); !errors.Is(err, db.ErrCorrupt) {
+		t.Errorf("corrupt frame followed by more frames must be refused as corrupt, got %v", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Error("refused journal was modified")
+	}
+}
+
+// TestJSONLJournalRefused: the journal has one format. A line-oriented
+// JSON journal (the retired format) is not an evaluation journal; every
+// reader refuses it naming the path, and none treats it as fresh.
+func TestJSONLJournalRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.jsonl")
+	jsonl := []byte(`{"kind":"header","version":1,"scale":0.05,"seed":1}` + "\n" +
+		`{"kind":"fmax","design":"cpu","cells":1234,"fmaxGHz":0.4375}` + "\n")
+	if err := os.WriteFile(path, jsonl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := ckptOpts()
+	_, err := OpenCheckpoint(path, opt)
+	checkRefused(t, "OpenCheckpoint", err, path)
+	_, _, _, err = JournalStatus(path, opt)
+	checkRefused(t, "JournalStatus", err, path)
+	err = MergeCheckpoints(filepath.Join(dir, "merged.ckpt"), opt, path)
+	checkRefused(t, "MergeCheckpoints", err, path)
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, jsonl) {
+		t.Error("refused JSONL journal was modified")
+	}
+}
+
+func checkRefused(t *testing.T, who string, err error, path string) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s accepted a JSONL journal", who)
+		return
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("%s error %q does not name the path", who, err)
 	}
 }
 

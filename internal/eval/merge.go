@@ -2,7 +2,6 @@ package eval
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,20 +34,13 @@ func errDivergent(what string) error {
 	return fmt.Errorf("eval: merge: divergent duplicate %s across shard journals — identical inputs must produce identical records; this is corruption or a determinism bug, not a merge conflict to resolve", what)
 }
 
-// canonicalJSON is the duplicate-equality witness: both journal formats
-// parse into the same record structs, so their canonical JSON encodings
-// are comparable across formats.
-func canonicalJSON(rec any) ([]byte, error) {
-	return json.Marshal(rec)
-}
-
 // MergeCheckpoints merges the shard journals at srcs into one journal at
-// dst (format chosen by dst's extension: .db/.bin binary, else JSONL).
-// Every source must parse cleanly and carry the exact header derived
-// from opt; lease records are dropped (coordination history stays in the
-// supervisor's own journal), and duplicate work records must be
-// identical. The merged file is written atomically (temp file + rename)
-// so a crash mid-merge never leaves a half-written journal behind.
+// dst. Every source must parse cleanly and carry the exact header
+// derived from opt; lease records are dropped (coordination history
+// stays in the supervisor's own journal), and duplicate work records
+// must encode to identical frames. The merged file is written
+// atomically (temp file, fsync, rename) so a crash mid-merge never
+// leaves a half-written journal under dst.
 func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 	opt = opt.withDefaults()
 	want := headerFor(opt)
@@ -95,60 +87,25 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 
 	// Canonical order: fmax in design order, then flows design-major in
 	// config order — the matrix order, restricted to what is present.
-	var out []byte
-	var err error
-	if binaryExt(dst) {
-		out = db.Header(db.MagicJournal)
-		if out, err = appendHeaderFrame(out, want); err != nil {
-			return fmt.Errorf("eval: merge: %w", err)
+	out, err := appendRecordFrame(db.Header(db.MagicJournal), want)
+	if err != nil {
+		return fmt.Errorf("eval: merge: %w", err)
+	}
+	for _, d := range opt.Designs {
+		if rec, ok := fmaxRecs[d]; ok {
+			if out, err = appendRecordFrame(out, rec); err != nil {
+				return fmt.Errorf("eval: merge: %w", err)
+			}
 		}
-		for _, d := range opt.Designs {
-			if rec, ok := fmaxRecs[d]; ok {
-				if out, err = appendRecordFrame(out, *rec); err != nil {
+	}
+	for _, d := range opt.Designs {
+		for _, c := range opt.Configs {
+			if rec, ok := flowRecs[flowKey{d, c}]; ok {
+				if out, err = appendRecordFrame(out, rec); err != nil {
 					return fmt.Errorf("eval: merge: %w", err)
 				}
 			}
 		}
-		for _, d := range opt.Designs {
-			for _, c := range opt.Configs {
-				if rec, ok := flowRecs[flowKey{d, c}]; ok {
-					if out, err = appendRecordFrame(out, rec); err != nil {
-						return fmt.Errorf("eval: merge: %w", err)
-					}
-				}
-			}
-		}
-	} else {
-		var buf bytes.Buffer
-		add := func(rec any) error {
-			b, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			buf.Write(b)
-			buf.WriteByte('\n')
-			return nil
-		}
-		if err := add(want); err != nil {
-			return fmt.Errorf("eval: merge: %w", err)
-		}
-		for _, d := range opt.Designs {
-			if rec, ok := fmaxRecs[d]; ok {
-				if err := add(*rec); err != nil {
-					return fmt.Errorf("eval: merge: %w", err)
-				}
-			}
-		}
-		for _, d := range opt.Designs {
-			for _, c := range opt.Configs {
-				if rec, ok := flowRecs[flowKey{d, c}]; ok {
-					if err := add(rec); err != nil {
-						return fmt.Errorf("eval: merge: %w", err)
-					}
-				}
-			}
-		}
-		out = buf.Bytes()
 	}
 
 	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
@@ -156,6 +113,13 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 		return fmt.Errorf("eval: merge: %w", err)
 	}
 	if _, err := tmp.Write(out); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("eval: merge: %w", err)
+	}
+	// Sync before the rename: without it a host crash can make the
+	// rename durable but not the data, leaving a short journal at dst.
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("eval: merge: %w", err)
@@ -171,14 +135,14 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 	return nil
 }
 
-// sameRecord enforces the divergent-duplicate refusal via canonical JSON
-// equality.
+// sameRecord enforces the divergent-duplicate refusal: two records are
+// the same exactly when their encoded frames are byte-equal.
 func sameRecord(a, b any, what string) error {
-	ab, err := canonicalJSON(a)
+	ab, err := appendRecordFrame(nil, a)
 	if err != nil {
 		return fmt.Errorf("eval: merge: %w", err)
 	}
-	bb, err := canonicalJSON(b)
+	bb, err := appendRecordFrame(nil, b)
 	if err != nil {
 		return fmt.Errorf("eval: merge: %w", err)
 	}

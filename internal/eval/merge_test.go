@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/designs"
 	"repro/internal/flow"
 )
@@ -23,196 +24,193 @@ func testFlowResult(design string, cfg core.ConfigName, freq float64) *core.Resu
 	}
 }
 
-// TestLeaseRoundTrip proves the full lease lifecycle survives a journal
-// round trip in both framings, interleaved with work records.
-func TestLeaseRoundTrip(t *testing.T) {
-	for _, ext := range []string{".jsonl", ".db"} {
-		t.Run(ext, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "farm"+ext)
-			opt := ckptOpts()
-			ck, err := OpenCheckpoint(path, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			leases := []Lease{
-				{Shard: 0, Action: LeaseGrant, Owner: "s0-a1", Attempt: 1,
-					Units: []Unit{{Design: designs.CPU, Config: core.ConfigHetero}}},
-				{Shard: 0, Action: LeaseRenew, Owner: "s0-a1", Attempt: 1},
-				{Shard: 0, Action: LeaseExpire, Owner: "s0-a1", Attempt: 1, Reason: "signal: killed"},
-				{Shard: 1, Action: LeaseQuarantine, Owner: "s1-a1", Attempt: 1, Reason: "crc mismatch"},
-				{Shard: 0, Action: LeaseGrant, Owner: "s0-a2", Attempt: 2,
-					Units: []Unit{{Design: designs.CPU, Config: core.ConfigHetero}}},
-				{Shard: 0, Action: LeaseRelease, Owner: "s0-a2", Attempt: 2},
-			}
-			for i, l := range leases {
-				if i == 2 { // a work record between coordination records
-					if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := ck.PutLease(l); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ck.PutLease(Lease{Shard: 9, Action: "bogus"}); err == nil {
-				t.Fatal("invalid lease action accepted")
-			}
-			if err := ck.Close(); err != nil {
-				t.Fatal(err)
-			}
+// journalNames are file-name extensions a journal may carry. The name
+// never chooses the format: ".jsonl" and ".db" (once the extensions that
+// picked the retired JSONL and the binary framing) and the farm's ".ckpt"
+// all get the one H3CK journal.
+var journalNames = []string{".jsonl", ".db", ".ckpt"}
 
-			ck2, err := OpenCheckpoint(path, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ck2.Close()
-			got := ck2.Leases()
-			if len(got) != len(leases) {
-				t.Fatalf("reloaded %d leases, want %d", len(got), len(leases))
-			}
-			for i := range leases {
-				want := leases[i]
-				want.Kind = "lease"
-				g := got[i]
-				if g.Shard != want.Shard || g.Action != want.Action || g.Owner != want.Owner ||
-					g.Attempt != want.Attempt || g.Reason != want.Reason || len(g.Units) != len(want.Units) {
-					t.Errorf("lease %d = %+v, want %+v", i, g, want)
-				}
-				for j := range want.Units {
-					if g.Units[j] != want.Units[j] {
-						t.Errorf("lease %d unit %d = %v, want %v", i, j, g.Units[j], want.Units[j])
-					}
-				}
-			}
-			if _, _, ok := ck2.Fmax(designs.CPU); !ok {
-				t.Error("work record lost among leases")
-			}
-		})
-	}
-}
-
-// TestLeaseConvertBetweenFormats proves leases survive the
-// JSONL<->binary conversion both ways.
-func TestLeaseConvertBetweenFormats(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src.jsonl")
-	opt := ckptOpts()
-	ck, err := OpenCheckpoint(src, opt)
+// checkJournalFile asserts path holds an H3CK journal.
+func checkJournalFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease := Lease{Shard: 3, Action: LeaseExpire, Owner: "s3-a1", Attempt: 1, Reason: "stalled"}
-	if err := ck.PutLease(lease); err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(data, db.Header(db.MagicJournal)) {
+		t.Errorf("%s does not start with the journal header", filepath.Base(path))
 	}
-	ck.Close()
+	return data
+}
 
-	bin := filepath.Join(dir, "conv.db")
-	if err := ConvertCheckpoint(src, bin); err != nil {
+// TestLeaseRoundTrip proves the full lease lifecycle survives a journal
+// round trip, interleaved with work records, whatever the file is named.
+func TestLeaseRoundTrip(t *testing.T) {
+	for _, ext := range journalNames {
+		t.Run(ext, func(t *testing.T) { leaseRoundTrip(t, ext) })
+	}
+}
+
+func leaseRoundTrip(t *testing.T, ext string) {
+	path := filepath.Join(t.TempDir(), "farm"+ext)
+	opt := ckptOpts()
+	ck, err := OpenCheckpoint(path, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back := filepath.Join(dir, "back.jsonl")
-	if err := ConvertCheckpoint(bin, back); err != nil {
+	leases := []Lease{
+		{Shard: 0, Action: LeaseGrant, Owner: "s0-a1", Attempt: 1,
+			Units: []Unit{{Design: designs.CPU, Config: core.ConfigHetero}}},
+		{Shard: 0, Action: LeaseRenew, Owner: "s0-a1", Attempt: 1},
+		{Shard: 0, Action: LeaseExpire, Owner: "s0-a1", Attempt: 1, Reason: "signal: killed"},
+		{Shard: 1, Action: LeaseQuarantine, Owner: "s1-a1", Attempt: 1, Reason: "crc mismatch"},
+		{Shard: 0, Action: LeaseGrant, Owner: "s0-a2", Attempt: 2,
+			Units: []Unit{{Design: designs.CPU, Config: core.ConfigHetero}}},
+		{Shard: 0, Action: LeaseRelease, Owner: "s0-a2", Attempt: 2},
+	}
+	for i, l := range leases {
+		if i == 2 { // a work record between coordination records
+			if err := ck.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ck.PutLease(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.PutLease(Lease{Shard: 9, Action: "bogus"}); err == nil {
+		t.Fatal("invalid lease action accepted")
+	}
+	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{bin, back} {
-		ck2, err := OpenCheckpoint(p, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+	checkJournalFile(t, path)
+
+	ck2, err := OpenCheckpoint(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck2.Close()
+	got := ck2.Leases()
+	if len(got) != len(leases) {
+		t.Fatalf("reloaded %d leases, want %d", len(got), len(leases))
+	}
+	for i := range leases {
+		want := leases[i]
+		g := got[i]
+		if g.Shard != want.Shard || g.Action != want.Action || g.Owner != want.Owner ||
+			g.Attempt != want.Attempt || g.Reason != want.Reason || len(g.Units) != len(want.Units) {
+			t.Errorf("lease %d = %+v, want %+v", i, g, want)
 		}
-		got := ck2.Leases()
-		ck2.Close()
-		if len(got) != 1 || got[0].Action != LeaseExpire || got[0].Reason != "stalled" ||
-			got[0].Owner != "s3-a1" || got[0].Shard != 3 {
-			t.Errorf("%s: leases = %+v", filepath.Base(p), got)
+		for j := range want.Units {
+			if g.Units[j] != want.Units[j] {
+				t.Errorf("lease %d unit %d = %v, want %v", i, j, g.Units[j], want.Units[j])
+			}
 		}
+	}
+	if _, _, ok := ck2.Fmax(designs.CPU); !ok {
+		t.Error("work record lost among leases")
 	}
 }
 
 // TestMergeCheckpoints proves the merge invariants: shard journals in
 // any order, with overlapping (identical) records and interleaved
 // leases, merge to byte-identical canonical journals equal to what a
-// single journal holding the same records contains.
+// single journal holding the same records contains. The merged bytes do
+// not depend on what the journals are named.
 func TestMergeCheckpoints(t *testing.T) {
-	for _, ext := range []string{".jsonl", ".db"} {
+	var first []byte
+	for _, ext := range journalNames {
 		t.Run(ext, func(t *testing.T) {
-			dir := t.TempDir()
-			opt := ckptOpts()
-			cpuFlow := testFlowResult("cpu", core.ConfigHetero, 0.4375)
-			aesFlow := testFlowResult("aes", core.Config2D12T, 0.9)
-
-			// Shard A: cpu fmax + cpu flow, plus coordination noise.
-			a := filepath.Join(dir, "shard-a"+ext)
-			ckA, err := OpenCheckpoint(a, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ckA.PutLease(Lease{Shard: 0, Action: LeaseGrant, Owner: "s0-a1", Attempt: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if err := ckA.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
-				t.Fatal(err)
-			}
-			if err := ckA.PutFlow(designs.CPU, core.ConfigHetero, cpuFlow); err != nil {
-				t.Fatal(err)
-			}
-			ckA.Close()
-
-			// Shard B: aes work plus a DUPLICATE of the cpu fmax record
-			// (two shards sharing a design both compute its target).
-			b := filepath.Join(dir, "shard-b"+ext)
-			ckB, err := OpenCheckpoint(b, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ckB.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
-				t.Fatal(err)
-			}
-			if err := ckB.PutFmax(designs.AES, 900, 0.9); err != nil {
-				t.Fatal(err)
-			}
-			if err := ckB.PutFlow(designs.AES, core.Config2D12T, aesFlow); err != nil {
-				t.Fatal(err)
-			}
-			ckB.Close()
-
-			m1 := filepath.Join(dir, "merged1"+ext)
-			if err := MergeCheckpoints(m1, opt, a, b); err != nil {
-				t.Fatal(err)
-			}
-			m2 := filepath.Join(dir, "merged2"+ext)
-			if err := MergeCheckpoints(m2, opt, b, a); err != nil {
-				t.Fatal(err)
-			}
-			d1, _ := os.ReadFile(m1)
-			d2, _ := os.ReadFile(m2)
-			if !bytes.Equal(d1, d2) {
-				t.Error("merge is source-order dependent")
-			}
-
-			// The merged journal resumes cleanly and holds everything.
-			ck, err := OpenCheckpoint(m1, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ck.Close()
-			if _, _, ok := ck.Fmax(designs.CPU); !ok {
-				t.Error("cpu fmax missing after merge")
-			}
-			if _, _, ok := ck.Fmax(designs.AES); !ok {
-				t.Error("aes fmax missing after merge")
-			}
-			if _, ok := ck.Flow(designs.CPU, core.ConfigHetero); !ok {
-				t.Error("cpu flow missing after merge")
-			}
-			if _, ok := ck.Flow(designs.AES, core.Config2D12T); !ok {
-				t.Error("aes flow missing after merge")
-			}
-			if n := len(ck.Leases()); n != 0 {
-				t.Errorf("%d lease records leaked into the merged journal", n)
+			merged := mergeCheckpoints(t, ext)
+			if first == nil {
+				first = merged
+			} else if !bytes.Equal(merged, first) {
+				t.Errorf("merged journal named %s differs from the one named %s", ext, journalNames[0])
 			}
 		})
 	}
+}
+
+// mergeCheckpoints runs the merge scenario on journals named with ext
+// and returns the merged journal's bytes.
+func mergeCheckpoints(t *testing.T, ext string) []byte {
+	dir := t.TempDir()
+	opt := ckptOpts()
+	cpuFlow := testFlowResult("cpu", core.ConfigHetero, 0.4375)
+	aesFlow := testFlowResult("aes", core.Config2D12T, 0.9)
+
+	// Shard A: cpu fmax + cpu flow, plus coordination noise.
+	a := filepath.Join(dir, "shard-a"+ext)
+	ckA, err := OpenCheckpoint(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckA.PutLease(Lease{Shard: 0, Action: LeaseGrant, Owner: "s0-a1", Attempt: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckA.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckA.PutFlow(designs.CPU, core.ConfigHetero, cpuFlow); err != nil {
+		t.Fatal(err)
+	}
+	ckA.Close()
+
+	// Shard B: aes work plus a DUPLICATE of the cpu fmax record
+	// (two shards sharing a design both compute its target).
+	b := filepath.Join(dir, "shard-b"+ext)
+	ckB, err := OpenCheckpoint(b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckB.PutFmax(designs.CPU, 1234, 0.4375); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckB.PutFmax(designs.AES, 900, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckB.PutFlow(designs.AES, core.Config2D12T, aesFlow); err != nil {
+		t.Fatal(err)
+	}
+	ckB.Close()
+
+	m1 := filepath.Join(dir, "merged1"+ext)
+	if err := MergeCheckpoints(m1, opt, a, b); err != nil {
+		t.Fatal(err)
+	}
+	m2 := filepath.Join(dir, "merged2"+ext)
+	if err := MergeCheckpoints(m2, opt, b, a); err != nil {
+		t.Fatal(err)
+	}
+	d1 := checkJournalFile(t, m1)
+	d2 := checkJournalFile(t, m2)
+	if !bytes.Equal(d1, d2) {
+		t.Error("merge is source-order dependent")
+	}
+
+	// The merged journal resumes cleanly and holds everything.
+	ck, err := OpenCheckpoint(m1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	if _, _, ok := ck.Fmax(designs.CPU); !ok {
+		t.Error("cpu fmax missing after merge")
+	}
+	if _, _, ok := ck.Fmax(designs.AES); !ok {
+		t.Error("aes fmax missing after merge")
+	}
+	if _, ok := ck.Flow(designs.CPU, core.ConfigHetero); !ok {
+		t.Error("cpu flow missing after merge")
+	}
+	if _, ok := ck.Flow(designs.AES, core.Config2D12T); !ok {
+		t.Error("aes flow missing after merge")
+	}
+	if n := len(ck.Leases()); n != 0 {
+		t.Errorf("%d lease records leaked into the merged journal", n)
+	}
+	return d1
 }
 
 // TestMergeRefusesDivergentDuplicates proves the merge never picks a
@@ -232,9 +230,9 @@ func TestMergeRefusesDivergentDuplicates(t *testing.T) {
 		ck.Close()
 		return path
 	}
-	a := write("a.jsonl", 0.4375)
-	b := write("b.jsonl", 0.5) // diverged: determinism bug or corruption
-	err := MergeCheckpoints(filepath.Join(dir, "m.jsonl"), opt, a, b)
+	a := write("a.ckpt", 0.4375)
+	b := write("b.ckpt", 0.5) // diverged: determinism bug or corruption
+	err := MergeCheckpoints(filepath.Join(dir, "m.ckpt"), opt, a, b)
 	if err == nil || !strings.Contains(err.Error(), "divergent duplicate") {
 		t.Fatalf("divergent duplicate accepted: %v", err)
 	}
@@ -247,13 +245,13 @@ func TestMergeRefusesForeignHeader(t *testing.T) {
 	opt := ckptOpts()
 	foreign := opt
 	foreign.Seed = 99
-	path := filepath.Join(dir, "foreign.jsonl")
+	path := filepath.Join(dir, "foreign.ckpt")
 	ck, err := OpenCheckpoint(path, foreign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck.Close()
-	err = MergeCheckpoints(filepath.Join(dir, "m.jsonl"), opt, path)
+	err = MergeCheckpoints(filepath.Join(dir, "m.ckpt"), opt, path)
 	if err == nil || !strings.Contains(err.Error(), "different suite options") {
 		t.Fatalf("foreign header accepted: %v", err)
 	}
@@ -266,7 +264,7 @@ func TestMergeRefusesForeignHeader(t *testing.T) {
 // option-mismatch refusal reports exactly which header fields differ,
 // with both values, and nothing about fields that agree.
 func TestOptionMismatchNamesFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "ckpt.ckpt")
 	opt := ckptOpts()
 	ck, err := OpenCheckpoint(path, opt)
 	if err != nil {
@@ -311,7 +309,7 @@ func TestOptionMismatchNamesFields(t *testing.T) {
 func TestJournalStatus(t *testing.T) {
 	dir := t.TempDir()
 	opt := ckptOpts()
-	path := filepath.Join(dir, "shard.jsonl")
+	path := filepath.Join(dir, "shard.ckpt")
 	units := []Unit{
 		{Design: designs.CPU, Config: core.ConfigHetero},
 		{Design: designs.CPU, Config: core.Config2D12T},

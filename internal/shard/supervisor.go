@@ -47,9 +47,6 @@ type Options struct {
 	// Procs bounds concurrently live worker processes (default: all
 	// shards at once).
 	Procs int
-	// Binary selects the binary journal framing (.db) over JSONL for
-	// every journal the farm writes.
-	Binary bool
 	// StallTimeout is how long a worker's journal may stop growing
 	// before the watchdog presumes it wedged and kills it (default 30s).
 	StallTimeout time.Duration
@@ -135,12 +132,8 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	ext := ".ckpt"
-	if o.Binary {
-		ext = ".db"
-	}
 	shardPath := func(idx int) string {
-		return filepath.Join(o.Dir, fmt.Sprintf("shard-%d%s", idx, ext))
+		return filepath.Join(o.Dir, fmt.Sprintf("shard-%d.ckpt", idx))
 	}
 
 	units := o.Suite.MatrixUnits()
@@ -166,7 +159,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 		maxRestarts = 2
 	}
 
-	coord, err := eval.OpenCheckpoint(filepath.Join(o.Dir, "farm"+ext), o.Suite)
+	coord, err := eval.OpenCheckpoint(filepath.Join(o.Dir, "farm.ckpt"), o.Suite)
 	if err != nil {
 		return nil, fmt.Errorf("shard: coordination journal: %w", err)
 	}
@@ -366,9 +359,10 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 		return nil
 	}
 
-	// watchdog runs once per poll: journal growth renews leases (and
-	// triggers armed chaos kills); a journal silent past the stall
-	// timeout gets its owner killed.
+	// watchdog runs once per poll: a journal size change renews the
+	// lease (and triggers armed chaos kills); a journal silent past the
+	// stall timeout gets its owner killed. A shrink counts as progress:
+	// a restarted worker cuts its journal's partial final frame off.
 	watchdog := func() {
 		now := time.Now()
 		for idx, r := range live {
@@ -376,7 +370,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 			if err != nil {
 				continue // worker has not created its journal yet
 			}
-			if fi.Size() > r.lastSize {
+			if fi.Size() != r.lastSize {
 				r.lastSize = fi.Size()
 				r.lastProgress = now
 				_ = coord.PutLease(eval.Lease{
@@ -443,7 +437,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 
 	// Merge the shard journals into the canonical result journal and
 	// rehydrate the suite from it — every result restored, zero re-runs.
-	merged := filepath.Join(o.Dir, "merged"+ext)
+	merged := filepath.Join(o.Dir, "merged.ckpt")
 	paths := make([]string, len(parts))
 	for i := range parts {
 		paths[i] = shardPath(i)
@@ -479,7 +473,7 @@ func Run(ctx context.Context, o Options) (*Farm, error) {
 // journalHasWork reports whether the shard journal holds at least one
 // completed work record (an f_max search or a flow) — the chaos kill's
 // "mid-run with partial progress" trigger. Concurrent reads are safe:
-// both journal formats tolerate a truncated final append.
+// the journal parser tolerates a truncated final append.
 func journalHasWork(path string, opt eval.SuiteOptions, units []eval.Unit) bool {
 	opt.Units = units
 	done, _, missingFmax, err := eval.JournalStatus(path, opt)
