@@ -116,9 +116,29 @@ func ercMaster(c *checker) {
 	}
 }
 
+// ercBinding checks that nets and pins agree on every binding. It runs in
+// O(pins + nets): the net pass marks each sink pin listed on the net it
+// is bound to, in a flat array indexed by a prefix sum of pin counts over
+// d.Instances, and the instance pass tests those marks.
 func ercBinding(c *checker) {
 	d := c.in.Design
 	c.checked(len(d.Nets) + len(d.Instances) + len(d.Ports))
+	first := make([]int32, len(d.Instances)+1)
+	for k, inst := range d.Instances {
+		first[k+1] = first[k]
+		if inst != nil && inst.Master != nil {
+			first[k+1] += int32(len(inst.Master.Pins))
+		}
+	}
+	// at returns where inst's pin marks start, or -1 when the design
+	// does not hold inst at its ID (a foreign or corrupted instance).
+	at := func(inst *netlist.Instance) int {
+		if k := inst.ID; k >= 0 && k < len(d.Instances) && d.Instances[k] == inst {
+			return int(first[k])
+		}
+		return -1
+	}
+	onNet := make([]bool, first[len(d.Instances)])
 	for _, n := range d.Nets {
 		if n.Driver.Valid() && d.NetAt(n.Driver.Inst, n.Driver.Pin) != n {
 			c.fail(n.Name, "driver %s/%s does not point back at the net",
@@ -135,6 +155,8 @@ func ercBinding(c *checker) {
 			if d.NetAt(s.Inst, s.Pin) != n {
 				c.fail(n.Name, "sink %s/%s does not point back at the net",
 					s.Inst.Name, s.Spec().Name)
+			} else if b := at(s.Inst); b >= 0 {
+				onNet[b+s.Pin] = true
 			}
 		}
 	}
@@ -142,6 +164,7 @@ func ercBinding(c *checker) {
 		if inst.Master == nil {
 			continue
 		}
+		b := at(inst)
 		for i, spec := range inst.Master.Pins {
 			n := d.NetAt(inst, i)
 			if n == nil {
@@ -154,11 +177,13 @@ func ercBinding(c *checker) {
 				}
 				continue
 			}
-			found := false
-			for _, s := range n.Sinks {
-				if s == ref {
-					found = true
-					break
+			found := b >= 0 && onNet[b+i]
+			if b < 0 {
+				for _, s := range n.Sinks {
+					if s == ref {
+						found = true
+						break
+					}
 				}
 			}
 			if !found {

@@ -133,7 +133,7 @@ func Build(d *netlist.Design, opt Options) (*Result, error) {
 	// is exactly the order the fused recursion used, so cts_buf%d
 	// numbering (and every downstream metric) is unchanged.
 	// partition reorders its argument in place; hand it a private copy so
-	// the Disconnect loop below still walks the original sink order.
+	// the Disconnect below still detaches in the original sink order.
 	pt := partition(append([]netlist.PinRef{}, sinks...), 1, opt.MaxLeafFanout, opt.Workers)
 	opt.Par.Note(countNodes(pt))
 	root, err := b.materialize(pt)
@@ -143,10 +143,8 @@ func Build(d *netlist.Design, opt Options) (*Result, error) {
 
 	// Detach original sinks and wire the root buffer to the clock port
 	// net.
-	for _, s := range sinks {
-		if err := d.Disconnect(s); err != nil {
-			return nil, err
-		}
+	if err := d.Disconnect(sinks...); err != nil {
+		return nil, err
 	}
 	if err := d.Connect(root.inst, "A", clkNet); err != nil {
 		return nil, err

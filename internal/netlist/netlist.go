@@ -328,13 +328,7 @@ func (d *Design) AddPort(name string, dir cell.Dir, n *Net) (*Port, error) {
 
 // Connect binds the named pin of inst to net n.
 func (d *Design) Connect(inst *Instance, pinName string, n *Net) error {
-	idx := -1
-	for i, p := range inst.Master.Pins {
-		if p.Name == pinName {
-			idx = i
-			break
-		}
-	}
+	idx := pinIndex(inst.Master, pinName)
 	if idx < 0 {
 		return fmt.Errorf("netlist: instance %q (%s) has no pin %q", inst.Name, inst.Master.Name, pinName)
 	}
@@ -359,12 +353,20 @@ func (d *Design) Connect(inst *Instance, pinName string, n *Net) error {
 // NetOf returns the net on the named pin of inst (nil if unconnected or no
 // such pin).
 func (d *Design) NetOf(inst *Instance, pinName string) *Net {
-	for i, p := range inst.Master.Pins {
-		if p.Name == pinName {
-			return inst.nets[i]
-		}
+	if i := pinIndex(inst.Master, pinName); i >= 0 {
+		return inst.nets[i]
 	}
 	return nil
+}
+
+// pinIndex returns the index of the named pin in m.Pins, -1 if absent.
+func pinIndex(m *cell.Master, pinName string) int {
+	for i, p := range m.Pins {
+		if p.Name == pinName {
+			return i
+		}
+	}
+	return -1
 }
 
 // NetAt returns the net bound to pin index i of inst.

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -288,13 +289,35 @@ func TestInsertBuffer(t *testing.T) {
 	}
 	_ = sinks
 
-	// Error cases.
-	if _, _, err := d.InsertBuffer(d.Net("n"), nil, lib12.Smallest(cell.FuncBuf), "b1"); err == nil {
-		t.Error("no sinks should fail")
+	// Error cases: each must fail and leave the design exactly as it was.
+	bufM := lib12.Smallest(cell.FuncBuf)
+	kept := d.Net("n").Sinks[0]
+	if _, err := d.AddNet("taken_net"); err != nil {
+		t.Fatal(err)
 	}
-	bogus := []PinRef{{Inst: buf, Pin: 0}}
-	if _, _, err := d.InsertBuffer(newNet, bogus, lib12.Smallest(cell.FuncBuf), "b2"); err == nil {
-		t.Error("sink not on net should fail")
+	for _, c := range []struct {
+		name  string
+		n     *Net
+		sinks []PinRef
+		inst  string
+	}{
+		{"no sinks", d.Net("n"), nil, "b1"},
+		{"sink not on net", newNet, []PinRef{{Inst: buf, Pin: 0}}, "b2"},
+		{"one of two sinks not on net", d.Net("n"), []PinRef{kept, {Inst: drv, Pin: 0}}, "b3"},
+		{"sink repeated", d.Net("n"), []PinRef{kept, kept}, "b4"},
+		{"instance name taken", d.Net("n"), []PinRef{kept}, "drv"},
+		{"net name taken", d.Net("n"), []PinRef{kept}, "taken"},
+	} {
+		before := d.ExportState()
+		if _, _, err := d.InsertBuffer(c.n, c.sinks, bufM, c.inst); err == nil {
+			t.Errorf("%s: InsertBuffer should fail", c.name)
+		}
+		if !reflect.DeepEqual(d.ExportState(), before) {
+			t.Errorf("%s: failed InsertBuffer changed the design", c.name)
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
 }
 
