@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/designs"
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -431,6 +433,70 @@ func TestENG002LevelizationLoop(t *testing.T) {
 	v := assertFires(t, Run(Input{Design: d}, ClassENG), "ENG-002")
 	if v.Obj != "design" {
 		t.Fatalf("finding = %+v", v)
+	}
+}
+
+// TestCheckTopoOrderBroken hands the ENG-002 order check hand-broken
+// orders of an ff0 → inva → invb → ff1 chain; each must be caught with
+// its own finding.
+func TestCheckTopoOrderBroken(t *testing.T) {
+	d, _ := chain(t, 2)
+	order, err := sta.TopoOrder(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj, err := checkTopoOrder(d, order); err != nil {
+		t.Fatalf("engine order rejected: %s: %v", obj, err)
+	}
+	at := func(name string) int {
+		for p, inst := range order {
+			if inst.Name == name {
+				return p
+			}
+		}
+		t.Fatalf("%s not in the order", name)
+		return -1
+	}
+	swapped := func(a, b string) []*netlist.Instance {
+		o := append([]*netlist.Instance(nil), order...)
+		i, j := at(a), at(b)
+		o[i], o[j] = o[j], o[i]
+		return o
+	}
+	dup := append([]*netlist.Instance(nil), order...)
+	dup[at("invb")] = order[at("inva")]
+	for _, tc := range []struct {
+		name    string
+		order   []*netlist.Instance
+		obj, in string
+	}{
+		{"comb-to-comb reversed", swapped("inva", "invb"), "invb", "data arc inva -> invb.A runs backwards"},
+		{"flop-to-gate reversed", swapped("ff0", "inva"), "inva", "data arc ff0 -> inva.A runs backwards"},
+		{"missing instance", order[:len(order)-1], order[len(order)-1].Name, "missing from the topological order"},
+		{"duplicated instance", dup, "inva", "appears at positions"},
+	} {
+		obj, err := checkTopoOrder(d, tc.order)
+		if err == nil || obj != tc.obj || !strings.Contains(err.Error(), tc.in) {
+			t.Errorf("%s: got %s: %v, want %s: ...%s...", tc.name, obj, err, tc.obj, tc.in)
+		}
+	}
+}
+
+// TestENG002GeneratedDesigns runs the order check over every generated
+// benchmark design.
+func TestENG002GeneratedDesigns(t *testing.T) {
+	for _, name := range designs.All {
+		d, err := designs.Generate(name, lib12, designs.Params{Scale: 0.1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := Run(Input{Design: d}, ClassENG)
+		if vs := byRule(rep, "ENG-002"); len(vs) != 0 {
+			t.Errorf("%s: %v", name, vs)
+		}
+		if st := ruleStat(t, rep, "ENG-002"); st.Checked != len(d.Instances) {
+			t.Errorf("%s: ENG-002 checked %d of %d instances", name, st.Checked, len(d.Instances))
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"fmt"
+
 	"repro/internal/cell"
 	"repro/internal/netlist"
 	"repro/internal/sta"
@@ -36,17 +38,11 @@ func engJournal(c *checker) {
 	}
 }
 
-// engLevelization cross-checks the STA engine's levelization against an
-// independent replay of its contract. The engine's order is not a strict
-// topological sort: its levelizer counts only combinational-to-
-// combinational arcs as fanin but releases sinks on every pop, so a cell
-// also fed by a register can surface before one of its combinational
-// drivers — the "late arcs" the incremental timer's sweeps explicitly
-// tolerate. What IS the bit-exactness contract is that the order (1)
-// exists exactly when the replay levelizes completely, (2) covers every
-// instance exactly once with index-aligned IDs, and (3) matches the
-// replay element for element — any divergence means the engine and the
-// netlist disagree about the design's structure.
+// engLevelization checks the STA engine's levelization against the
+// contract every timing sweep relies on: sta.TopoOrder exists exactly
+// when the design has no combinational cycle, and it is a strict
+// topological sort (see checkTopoOrder). The rule does not depend on how
+// the engine sorts; ERC-008 stays the independent loop detector.
 func engLevelization(c *checker) {
 	d := c.in.Design
 	c.checked(len(d.Instances))
@@ -61,96 +57,60 @@ func engLevelization(c *checker) {
 			return
 		}
 	}
-	want, complete := replayLevelization(d)
 	order, err := sta.TopoOrder(d)
 	if err != nil {
-		if complete {
-			c.fail("design", "engine reports a combinational cycle the levelization replay does not: %v", err)
-		} else {
-			c.fail("design", "timing graph not levelizable: %v", err)
-		}
+		c.fail("design", "timing graph not levelizable: %v", err)
 		return
 	}
-	if !complete {
-		c.fail("design", "engine levelized a design the replay finds cyclic (%d of %d instances)",
-			len(want), len(d.Instances))
-		return
-	}
-	if len(order) != len(d.Instances) {
-		c.fail("design", "levelization covers %d of %d instances", len(order), len(d.Instances))
-		return
-	}
-	seen := make([]bool, len(d.Instances))
-	for i, inst := range order {
-		if inst.ID < 0 || inst.ID >= len(seen) || seen[inst.ID] {
-			c.fail(inst.Name, "instance appears twice (or with a foreign ID) in the topological order")
-			return
-		}
-		seen[inst.ID] = true
-		if inst != want[i] {
-			c.fail(inst.Name, "levelization diverges from the replay at position %d (%s vs %s)",
-				i, inst.Name, want[i].Name)
-			return
-		}
+	if obj, err := checkTopoOrder(d, order); err != nil {
+		c.fail(obj, "%v", err)
 	}
 }
 
-// replayLevelization independently re-runs the timing engine's published
-// levelization contract (sta.TopoOrder): sources are sequential cells and
-// macros, fanin counts combinational DirIn arcs from non-source drivers,
-// and every pop — source or not — releases its non-source, non-clock
-// sinks in FIFO order. complete is false when a combinational cycle
-// leaves instances unlevelized.
-func replayLevelization(d *netlist.Design) (order []*netlist.Instance, complete bool) {
-	n := len(d.Instances)
-	isSource := func(inst *netlist.Instance) bool {
-		f := inst.Master.Function
-		return f.IsSequential() || f.IsMacro()
+// checkTopoOrder reports the first way order breaks the levelization
+// contract, with the object it concerns: every instance of d appears
+// exactly once, and every data arc into a combinational instance — from
+// a sequential or macro driver too — comes from an earlier position.
+// Arcs into sequential cells and macros are captures and may point
+// anywhere. d's instance IDs must match their indices.
+func checkTopoOrder(d *netlist.Design, order []*netlist.Instance) (obj string, err error) {
+	pos := make([]int, len(d.Instances))
+	for i := range pos {
+		pos[i] = -1
 	}
-	remaining := make([]int, n)
+	for p, inst := range order {
+		if inst.ID < 0 || inst.ID >= len(pos) || d.Instances[inst.ID] != inst {
+			return inst.Name, fmt.Errorf("position %d holds an instance foreign to the design", p)
+		}
+		if pos[inst.ID] >= 0 {
+			return inst.Name, fmt.Errorf("instance appears at positions %d and %d of the topological order", pos[inst.ID], p)
+		}
+		pos[inst.ID] = p
+	}
 	for _, inst := range d.Instances {
-		if inst.ID >= n || isSource(inst) {
+		if pos[inst.ID] < 0 {
+			return inst.Name, fmt.Errorf("instance missing from the topological order (%d of %d levelized)", len(order), len(d.Instances))
+		}
+	}
+	for p, inst := range order {
+		if f := inst.Master.Function; f.IsSequential() || f.IsMacro() {
 			continue
 		}
-		for i, p := range inst.Master.Pins {
-			if p.Dir != cell.DirIn {
+		for i, pin := range inst.Master.Pins {
+			if pin.Dir != cell.DirIn {
 				continue
 			}
-			nn := d.NetAt(inst, i)
-			if nn == nil || !nn.Driver.Valid() || nn.Driver.Inst.Master == nil {
+			n := d.NetAt(inst, i)
+			if n == nil || !n.Driver.Valid() {
 				continue
 			}
-			if !isSource(nn.Driver.Inst) {
-				remaining[inst.ID]++
+			if dp := pos[n.Driver.Inst.ID]; dp >= p {
+				return inst.Name, fmt.Errorf("data arc %s -> %s.%s runs backwards in the topological order (driver at position %d, sink at %d)",
+					n.Driver.Inst.Name, inst.Name, pin.Name, dp, p)
 			}
 		}
 	}
-	queue := make([]*netlist.Instance, 0, n)
-	for _, inst := range d.Instances {
-		if inst.ID < n && (isSource(inst) || remaining[inst.ID] == 0) {
-			queue = append(queue, inst)
-		}
-	}
-	order = make([]*netlist.Instance, 0, n)
-	for len(queue) > 0 {
-		inst := queue[0]
-		queue = queue[1:]
-		order = append(order, inst)
-		out := d.OutputNet(inst)
-		if out == nil {
-			continue
-		}
-		for _, s := range out.Sinks {
-			if !s.Valid() || s.Inst.ID >= n || isSource(s.Inst) || s.Spec().Dir == cell.DirClk {
-				continue
-			}
-			remaining[s.Inst.ID]--
-			if remaining[s.Inst.ID] == 0 {
-				queue = append(queue, s.Inst)
-			}
-		}
-	}
-	return order, len(order) == n
+	return "", nil
 }
 
 // engMonotonic fires only inside a Session (stage-boundary runs): the

@@ -246,10 +246,9 @@ func ercCombLoop(c *checker) {
 		done++
 		if isSource(inst) {
 			// Arcs out of path-breaking cells were never counted as
-			// fanin, so a source pop must not release anything — unlike
-			// the timing engine's levelizer, whose early releases this
-			// independent detector deliberately does not reproduce
-			// (ENG-002 owns that contract).
+			// fanin, so a source pop releases nothing: this detector
+			// looks only for loops through combinational cells, apart
+			// from the timing engine's order (ENG-002 checks that).
 			continue
 		}
 		out := d.OutputNet(inst)

@@ -762,7 +762,7 @@ func (s *flowState) saveHook(saveSet map[string]bool, path string) func(*flow.Co
 			return fmt.Errorf("core: save design after %s: %w", stage, err)
 		}
 		out := savePathFor(path, stage, multi)
-		if err := os.WriteFile(out, data, 0o644); err != nil {
+		if err := db.WriteFileAtomic(out, data, 0o644); err != nil {
 			return fmt.Errorf("core: save design after %s: %w", stage, err)
 		}
 		return nil

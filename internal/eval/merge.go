@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/db"
@@ -108,28 +107,7 @@ func MergeCheckpoints(dst string, opt SuiteOptions, srcs ...string) error {
 		}
 	}
 
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("eval: merge: %w", err)
-	}
-	if _, err := tmp.Write(out); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eval: merge: %w", err)
-	}
-	// Sync before the rename: without it a host crash can make the
-	// rename durable but not the data, leaving a short journal at dst.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eval: merge: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eval: merge: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
+	if err := db.WriteFileAtomic(dst, out, 0o644); err != nil {
 		return fmt.Errorf("eval: merge: %w", err)
 	}
 	return nil

@@ -28,10 +28,10 @@ import (
 // structural edit allocates nothing once warm.
 type graph struct {
 	d *netlist.Design
-	// order lists combinational instances in topological order.
+	// order lists every instance in topological order.
 	order []*netlist.Instance
-	// fanin[id] lists the driving instances of instance id's inputs
-	// (excluding clock pins and port-driven inputs).
+	// faninCount[id] counts instance id's data fanin arcs (input pins on
+	// instance-driven nets); remaining is the Kahn loop's working copy.
 	faninCount []int
 	remaining  []int
 }
@@ -48,19 +48,20 @@ func buildGraph(d *netlist.Design) (*graph, error) {
 // rebuild levelizes d into g, reusing g's storage. Sequential cells and
 // macros are timing sources (their outputs launch) and sinks (their D
 // inputs capture); combinational loops are an error.
+//
+// The order is a strict topological sort: every data arc into a
+// combinational instance — from a source or not — comes from an
+// instance at an earlier position, so a forward sweep in this order
+// sees every input arrival final before it computes a node.
 func (g *graph) rebuild(d *netlist.Design) error {
 	g.d = d
 	conn := d.Conn()
 	g.faninCount = dense.Zero(g.faninCount, len(d.Instances))
 
-	isSource := func(inst *netlist.Instance) bool {
-		f := inst.Master.Function
-		return f.IsSequential() || f.IsMacro()
-	}
-
-	// Count combinational fanins per instance.
+	// Count every data fanin arc of each combinational instance. The
+	// Kahn loop below releases one count per arc as its driver pops.
 	for _, inst := range d.Instances {
-		if isSource(inst) {
+		if timingSource(inst) {
 			continue // sources enter the order immediately
 		}
 		for i, p := range inst.Master.Pins {
@@ -71,9 +72,7 @@ func (g *graph) rebuild(d *netlist.Design) error {
 			if n == nil || !n.Driver.Valid() {
 				continue // port-driven or floating
 			}
-			if !isSource(n.Driver.Inst) {
-				g.faninCount[inst.ID]++
-			}
+			g.faninCount[inst.ID]++
 		}
 	}
 
@@ -85,7 +84,7 @@ func (g *graph) rebuild(d *netlist.Design) error {
 	copy(g.remaining, g.faninCount)
 	g.order = g.order[:0]
 	for _, inst := range d.Instances {
-		if isSource(inst) || g.remaining[inst.ID] == 0 {
+		if timingSource(inst) || g.remaining[inst.ID] == 0 {
 			g.order = append(g.order, inst)
 		}
 	}
@@ -97,7 +96,7 @@ func (g *graph) rebuild(d *netlist.Design) error {
 		}
 		for _, s := range out.Sinks {
 			sk := s.Inst
-			if isSource(sk) || s.Spec().Dir == cell.DirClk {
+			if timingSource(sk) || s.Spec().Dir == cell.DirClk {
 				continue
 			}
 			g.remaining[sk.ID]--
@@ -113,9 +112,11 @@ func (g *graph) rebuild(d *netlist.Design) error {
 	return nil
 }
 
-// TopoOrder returns the design's instances levelized source-first:
-// sequential cells and macros lead, then combinational cells in
-// dependency order. Power analysis reuses this for activity propagation.
+// TopoOrder returns the design's instances levelized: sequential cells,
+// macros and cells fed only by ports lead, then the remaining
+// combinational cells in strict dependency order (every data arc into a
+// combinational instance comes from an earlier position). Power
+// analysis reuses this for activity propagation.
 func TopoOrder(d *netlist.Design) ([]*netlist.Instance, error) {
 	g, err := buildGraph(d)
 	if err != nil {

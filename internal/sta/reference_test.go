@@ -11,7 +11,7 @@ import (
 	"repro/internal/tech"
 )
 
-// Analyze runs full STA on the design.
+// analyzeReference runs full STA on the design in the push model.
 func analyzeReference(d *netlist.Design, cfg Config) (*Result, error) {
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("sta: period %v must be positive", cfg.Period)
@@ -233,7 +233,9 @@ func analyzeReference(d *netlist.Design, cfg Config) (*Result, error) {
 }
 
 // TestAnalyzeMatchesSeedReference pits the replay-based engine against a
-// verbatim copy of the original push-based Analyze.
+// push-based Analyze: one sweep over the levelized order that pushes each
+// driver's arrival to its sinks. It shares buildGraph with the engine, so
+// it checks the sweeps, not the order; oracle_test.go checks the order.
 func TestAnalyzeMatchesSeedReference(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		d := randomDAG(t, seed)
@@ -282,5 +284,3 @@ func TestAnalyzeMatchesSeedReference(t *testing.T) {
 		}
 	}
 }
-
-var _ = fmt.Sprintf
